@@ -56,6 +56,23 @@ double percentile(std::vector<double>& values, double p) {
   return values[static_cast<std::size_t>(idx + 0.5)];
 }
 
+/// The CellResult counter a response line falls under: ok -> succeeded,
+/// an admission refusal (RESOURCE_EXHAUSTED / CANCELLED) -> rejected,
+/// anything else (including an unparseable line) -> failed.
+std::int64_t& outcome_counter(CellResult& cell, const std::string& response) {
+  dgr::obs::json::Value doc;
+  if (!dgr::obs::json::Value::parse(response, &doc)) return cell.failed;
+  const dgr::obs::json::Value* ok = doc.find("ok");
+  if (ok != nullptr && ok->is_bool() && ok->as_bool()) return cell.succeeded;
+  const dgr::obs::json::Value* err = doc.find("error");
+  const dgr::obs::json::Value* code = err != nullptr ? err->find("code") : nullptr;
+  if (code != nullptr && code->is_string() &&
+      (code->as_string() == "RESOURCE_EXHAUSTED" || code->as_string() == "CANCELLED")) {
+    return cell.rejected;
+  }
+  return cell.failed;
+}
+
 /// One load cell: `offered` route requests spread over `sessions` sessions
 /// on a server with `workers` workers, submitted in bursts of
 /// `burst` with no think time (closed-loop: wait for each burst).
@@ -80,6 +97,10 @@ CellResult run_cell(int workers, int offered, int burst, double scale) {
     server.call(line);
   }
 
+  // Outcomes are counted from the route responses themselves: the server's
+  // accounting() also counts the load ops above, which would break
+  // offered = succeeded + rejected + failed for the cell.
+  CellResult cell;
   std::mutex mu;
   std::condition_variable cv;
   std::vector<double> latencies;
@@ -96,10 +117,11 @@ CellResult run_cell(int workers, int offered, int burst, double scale) {
       ++outstanding;
     }
     dgr::util::Timer latency;
-    server.submit(line, [&mu, &cv, &latencies, &outstanding, latency](
-                            const std::string&) {
+    server.submit(line, [&mu, &cv, &latencies, &outstanding, &cell, latency](
+                            const std::string& response) {
       std::lock_guard<std::mutex> lock(mu);
       latencies.push_back(latency.seconds() * 1000.0);
+      ++outcome_counter(cell, response);
       --outstanding;
       cv.notify_all();
     });
@@ -110,16 +132,11 @@ CellResult run_cell(int workers, int offered, int burst, double scale) {
   }
   const double wall_seconds = wall.seconds();
 
-  const Server::Accounting acct = server.accounting();
   server.shutdown(true);
 
-  CellResult cell;
   cell.p50_ms = percentile(latencies, 0.50);
   cell.p99_ms = percentile(latencies, 0.99);
   cell.throughput = wall_seconds > 0.0 ? static_cast<double>(offered) / wall_seconds : 0.0;
-  cell.succeeded = acct.succeeded;
-  cell.rejected = acct.rejected;
-  cell.failed = acct.failed;
   return cell;
 }
 

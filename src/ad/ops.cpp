@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "ad/simd.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
@@ -71,50 +70,13 @@ void softmax_group(const float* x, const float* noise, float* y, std::size_t lo,
   for (std::size_t i = lo; i < hi; ++i) y[i] *= inv;
 }
 
-/// Softmax forward over a CHUNK of groups [glo, ghi). Groups are adjacent in
-/// the offsets array, so the chunk's elements form one stride-1 range
-/// [offsets[glo], offsets[ghi]) — the SoA property the SIMD path exploits:
-/// DGR's groups are tiny (path pairs, tree candidates), so per-group
-/// vectorization is useless; instead the scalar passes stage (logit − max)
-/// per group and ONE vectorized exp sweep covers the whole chunk, with a
-/// scalar per-group normalize after. The scalar path keeps softmax_group's
-/// exact arithmetic.
+/// Softmax forward over a chunk of groups [glo, ghi).
 void softmax_groups(const float* x, const float* noise, float* y,
                     const std::int32_t* offsets, std::size_t glo, std::size_t ghi,
                     float temperature) {
-  if (glo == ghi) return;
-  if (!simd::active()) {
-    for (std::size_t g = glo; g < ghi; ++g) {
-      softmax_group(x, noise, y, static_cast<std::size_t>(offsets[g]),
-                    static_cast<std::size_t>(offsets[g + 1]), temperature);
-    }
-    return;
-  }
   for (std::size_t g = glo; g < ghi; ++g) {
-    const auto lo = static_cast<std::size_t>(offsets[g]);
-    const auto hi = static_cast<std::size_t>(offsets[g + 1]);
-    if (lo == hi) continue;
-    float mx = -1e30f;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const float logit = (x[i] + (noise != nullptr ? noise[i] : 0.0f)) / temperature;
-      y[i] = logit;
-      mx = std::max(mx, logit);
-    }
-    for (std::size_t i = lo; i < hi; ++i) y[i] -= mx;
-  }
-  // Absolute-anchored sweep: the lane grid depends on y's index space, not
-  // on where this worker's group chunk happens to start, so worker-count
-  // bitwise invariance survives the data-dependent chunk boundaries.
-  simd::exp_sweep(y, static_cast<std::size_t>(offsets[glo]),
-                  static_cast<std::size_t>(offsets[ghi]));
-  for (std::size_t g = glo; g < ghi; ++g) {
-    const auto lo = static_cast<std::size_t>(offsets[g]);
-    const auto hi = static_cast<std::size_t>(offsets[g + 1]);
-    if (lo == hi) continue;
-    double denom = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) denom += y[i];
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t i = lo; i < hi; ++i) y[i] *= inv;
+    softmax_group(x, noise, y, static_cast<std::size_t>(offsets[g]),
+                  static_cast<std::size_t>(offsets[g + 1]), temperature);
   }
 }
 
@@ -139,10 +101,6 @@ void softmax_groups_backward(const float* y, const double* gy, double* gx,
 
 void gather_mul_range(const float* q, const std::int32_t* index, const float* p,
                       float* out, std::size_t lo, std::size_t hi) {
-  if (simd::active()) {
-    simd::gather_mul(q, index + lo, p + lo, out + lo, hi - lo);
-    return;
-  }
   for (std::size_t i = lo; i < hi; ++i) {
     out[i] = q[static_cast<std::size_t>(index[i])] * p[i];
   }
@@ -347,11 +305,6 @@ void backward_fused_overflow(Tape& tape, const OpRecord& rec) {
   util::ParallelRuntime::for_blocked(
       0, n,
       [=](std::size_t lo, std::size_t hi) {
-        if (simd::active()) {
-          simd::overflow_backward(act, alpha, g, xv + lo, cv + lo, av + lo, gx + lo,
-                                  hi - lo);
-          return;
-        }
         for (std::size_t i = lo; i < hi; ++i) {
           gx[i] += g * act_derivative(act, alpha, xv[i] - cv[i], av[i]);
         }
@@ -734,11 +687,6 @@ NodeId fused_overflow_cost(Tape& tape, NodeId x, const std::vector<float>& c,
           for (std::size_t b = blo; b < bhi; ++b) {
             const std::size_t lo = b * block;
             const std::size_t hi = std::min(n, lo + block);
-            if (simd::active()) {
-              parts[b] = simd::overflow_forward(act, alpha, xv + lo, cv + lo, av + lo,
-                                                hi - lo);
-              continue;
-            }
             double acc = 0.0;
             for (std::size_t i = lo; i < hi; ++i) {
               const float a = act_forward(act, alpha, xv[i] - cv[i]);

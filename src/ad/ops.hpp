@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ad/activation.hpp"
 #include "ad/tape.hpp"
 
 namespace dgr::ad {
@@ -23,8 +22,7 @@ namespace dgr::ad {
 // temporaries.
 //
 // Each op appends one typed OpRecord (ad/op_record.hpp) replayed by
-// Tape::backward; the hot kernels route through ad/simd.hpp when the
-// DGR_SIMD build has AVX2 enabled at runtime (scalar fallback otherwise).
+// Tape::backward.
 
 /// Softmax within each group g over [offsets[g], offsets[g+1]):
 ///   y_i = exp((x_i + noise_i)/t) / Σ_group exp((x_k + noise_k)/t)
@@ -54,6 +52,10 @@ NodeId spmv(Tape& tape, NodeId x, const SparseIncidence& inc);
 
 /// out = x - c (elementwise with a constant vector): demand - capacity.
 NodeId sub_const(Tape& tape, NodeId x, const std::vector<float>& c);
+
+/// The overflow activations studied in Fig. 6 of the paper.
+enum class Activation { kReLU, kSigmoid, kLeakyReLU, kExp, kCELU };
+const char* activation_name(Activation a);
 
 /// Elementwise activation. `alpha` parameterises LeakyReLU slope / CELU
 /// alpha; ignored by the others. Exp is clamped at x <= 30 for stability.

@@ -70,6 +70,8 @@ class DgrSolver {
 
   /// L2 norm of the full parameter gradient of the most recent train_step().
   double last_grad_norm() const { return last_grad_norm_; }
+  /// Full parameter gradient [path | tree] of the most recent train_step().
+  const std::vector<double>& last_grads() const { return grads_; }
   /// Cost breakdown of the most recent train_step() (stochastic forward).
   const CostBreakdown& last_breakdown() const { return last_breakdown_; }
 
@@ -122,9 +124,9 @@ class DgrSolver {
   std::vector<float> params_;  ///< [path logits | tree logits]
   ad::Adam adam_;
   util::Rng rng_;
-  /// Reused across train_step calls (config.reuse_tape): reset() keeps the
-  /// arena capacity, so steady-state iterations record the same graph with
-  /// zero heap allocation. The noise/grad buffers below reach a fixed size
+  /// Reused across train_step calls: reset() keeps the arena capacity, so
+  /// steady-state iterations record the same graph with zero heap
+  /// allocation. The noise/grad buffers below reach a fixed size
   /// after the first step for the same reason.
   ad::Tape tape_;
   std::vector<float> path_noise_;

@@ -14,9 +14,7 @@
 #include "ad/adam.hpp"
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
-#include "ad/simd.hpp"
 #include "ad/tape.hpp"
-#include "core/batch.hpp"
 #include "core/config.hpp"
 #include "core/relaxation.hpp"
 #include "core/solver.hpp"

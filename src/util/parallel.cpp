@@ -50,8 +50,10 @@ std::size_t default_workers() {
 // boundaries derive from (begin, end, grain) only, and every output element
 // is owned by the chunk that writes it.
 //
-// Single-client discipline: jobs are submitted from one thread at a time
-// (the solver's training loop); stage functions must not submit nested jobs.
+// Busy -> inline: one submitter owns the pool at a time (busy_). Any other
+// submission — a second client thread, or a stage function submitting a
+// nested job — finds the pool taken and runs its stages inline, so a job
+// slot is never reused while its submitter is still draining it.
 class Pool {
  public:
   static Pool& instance() {
@@ -66,7 +68,8 @@ class Pool {
 
   void run(const detail::RawStage* stages, std::size_t count) {
     const std::size_t workers = worker_count();
-    if (workers <= 1) {  // defensive: the template layer normally short-circuits
+    // workers <= 1 is defensive: the template layer normally short-circuits.
+    if (workers <= 1 || busy_.exchange(true)) {
       for (std::size_t s = 0; s < count; ++s) {
         if (stages[s].begin < stages[s].end) {
           stages[s].fn(stages[s].ctx, stages[s].begin, stages[s].end);
@@ -144,6 +147,7 @@ class Pool {
       lock.lock();
       cv_done_.wait(lock, [&] { return pending_ == 0; });
     }
+    busy_.store(false);
   }
 
  private:
@@ -242,6 +246,7 @@ class Pool {
     }
   }
 
+  std::atomic<bool> busy_{false};  // a submitter is inside run()
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
@@ -264,17 +269,6 @@ std::size_t worker_count() {
 }
 
 void set_worker_count(std::size_t n) { g_override.store(n, std::memory_order_relaxed); }
-
-namespace {
-// Depth, not a flag: serial sections nest (a region job that itself opens one
-// must not re-enable pool dispatch when the inner guard unwinds).
-thread_local int g_serial_depth = 0;
-}  // namespace
-
-bool serial_section_active() { return g_serial_depth > 0; }
-
-SerialSection::SerialSection() { ++g_serial_depth; }
-SerialSection::~SerialSection() { --g_serial_depth; }
 
 namespace detail {
 

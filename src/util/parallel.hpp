@@ -27,6 +27,12 @@
 // boundaries are derived from (begin, end, grain) only — never from the
 // thread count — so any reduction expressed as "fixed blocks -> owned
 // partial slots -> ordered combine" is bitwise thread-count invariant.
+//
+// Concurrency: the pool runs one job at a time. A submission made while
+// another is in flight — from a second thread, or nested inside a stage
+// function — runs its stages inline on the calling thread. The determinism
+// contract makes that bitwise identical to a pooled run, so contention
+// changes scheduling, never results.
 
 #include <cstddef>
 #include <memory>
@@ -41,23 +47,6 @@ std::size_t worker_count();
 /// Overrides the worker count (0 restores the default). Mainly for tests
 /// that check determinism across thread counts.
 void set_worker_count(std::size_t n);
-
-/// True while a SerialSection is alive on the calling thread.
-bool serial_section_active();
-
-/// RAII guard forcing every ParallelRuntime dispatch on this thread to run
-/// inline, without touching the pool. Required inside code that already
-/// executes as a pool stage function (the partition router's region jobs):
-/// the pool's single-client discipline forbids nested submissions, and the
-/// determinism contract makes inline execution bitwise identical to a pooled
-/// one, so a serial section changes scheduling, never results. Nestable.
-class SerialSection {
- public:
-  SerialSection();
-  ~SerialSection();
-  SerialSection(const SerialSection&) = delete;
-  SerialSection& operator=(const SerialSection&) = delete;
-};
 
 namespace detail {
 
@@ -122,7 +111,7 @@ class ParallelRuntime {
                        std::size_t grain = 1024) {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
-    if (end - begin <= grain || worker_count() <= 1 || serial_section_active()) {
+    if (end - begin <= grain || worker_count() <= 1) {
       for (std::size_t i = begin; i < end; ++i) fn(i);
       return;
     }
@@ -139,7 +128,7 @@ class ParallelRuntime {
                           std::size_t grain = 4096) {
     if (begin >= end) return;
     if (grain == 0) grain = 1;
-    if (end - begin <= grain || worker_count() <= 1 || serial_section_active()) {
+    if (end - begin <= grain || worker_count() <= 1) {
       fn(begin, end);
       return;
     }
@@ -162,7 +151,7 @@ class ParallelRuntime {
       return;
     } else {
       const bool all_small = ((stages.end - stages.begin <= stages.grain) && ...);
-      if (all_small || worker_count() <= 1 || serial_section_active()) {
+      if (all_small || worker_count() <= 1) {
         (run_serial(stages), ...);
         return;
       }

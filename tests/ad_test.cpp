@@ -6,7 +6,6 @@
 #include "ad/adam.hpp"
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
-#include "ad/simd.hpp"
 #include "ad/tape.hpp"
 #include "util/rng.hpp"
 
@@ -684,12 +683,6 @@ TEST(FusedOverflowCost, MatchesUnfusedChain) {
   util::Rng rng(29);
   const std::vector<float> x0 = random_vec(rng, 11);
   const std::vector<float> cap(11, 0.2f);
-  // The unfused chain is always scalar; with the SIMD kernels active the
-  // fused side evaluates exp-based activations with the vector polynomial,
-  // so the comparison runs at the shared-eval tolerance instead of the
-  // near-bitwise scalar one (DESIGN.md §5.4).
-  const double grad_rtol = simd::active() ? 1e-6 : 1e-9;
-  const double grad_atol = simd::active() ? 1e-9 : 1e-12;
   for (const Activation act : {Activation::kReLU, Activation::kSigmoid,
                                Activation::kLeakyReLU, Activation::kExp,
                                Activation::kCELU}) {
@@ -708,7 +701,7 @@ TEST(FusedOverflowCost, MatchesUnfusedChain) {
     ref.backward(ro);
     for (std::size_t i = 0; i < x0.size(); ++i) {
       EXPECT_NEAR(fused.grad(fx)[i], ref.grad(rx)[i],
-                  grad_atol + grad_rtol * std::abs(ref.grad(rx)[i]))
+                  1e-12 + 1e-9 * std::abs(ref.grad(rx)[i]))
           << activation_name(act) << " i=" << i;
     }
   }
@@ -794,136 +787,6 @@ TEST(Tape, ResetKeepsCapacityAndReproducesValues) {
     // Re-recording an identical graph must never regrow the arenas.
     EXPECT_EQ(tape.memory_bytes(), bytes_after_first) << "round " << round;
   }
-}
-
-TEST(Tape, BackwardMultiMatchesSeparateBackwards) {
-  // Two disjoint subgraphs, one reverse replay: gradients must equal what
-  // two dedicated tapes produce. This is the batched-solver substrate.
-  util::Rng rng(7);
-  const std::vector<float> a0 = random_vec(rng, 64);
-  const std::vector<float> b0 = random_vec(rng, 48);
-  const std::vector<std::int32_t> offa{0, 32, 64};
-  const std::vector<std::int32_t> offb{0, 48};
-
-  Tape shared;
-  const NodeId ax = shared.input(a0);
-  const NodeId ac = weighted_sum(shared, segment_softmax(shared, ax, offa, 1.3f));
-  const NodeId bx = shared.input(b0);
-  const NodeId bc = weighted_sum(shared, segment_softmax(shared, bx, offb, 0.9f));
-  const NodeId roots[] = {ac, bc};
-  shared.backward_multi(roots);
-
-  Tape solo_a;
-  const NodeId sax = solo_a.input(a0);
-  solo_a.backward(weighted_sum(solo_a, segment_softmax(solo_a, sax, offa, 1.3f)));
-  Tape solo_b;
-  const NodeId sbx = solo_b.input(b0);
-  solo_b.backward(weighted_sum(solo_b, segment_softmax(solo_b, sbx, offb, 0.9f)));
-
-  for (std::size_t i = 0; i < a0.size(); ++i) {
-    EXPECT_EQ(shared.grad(ax)[i], solo_a.grad(sax)[i]) << i;
-  }
-  for (std::size_t i = 0; i < b0.size(); ++i) {
-    EXPECT_EQ(shared.grad(bx)[i], solo_b.grad(sbx)[i]) << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD-vs-scalar equivalence (compiled only under DGR_SIMD; self-skips
-// otherwise so the same test source runs in both preset matrix legs)
-// ---------------------------------------------------------------------------
-
-class SimdGuard {
- public:
-  explicit SimdGuard(bool on) : prev_(simd::enabled()) { simd::set_enabled(on); }
-  ~SimdGuard() { simd::set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST(Simd, SoftmaxMatchesScalarWithinTolerance) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  util::Rng rng(321);
-  const std::vector<float> x0 = random_vec(rng, 4096, 2.0f);
-  std::vector<std::int32_t> offsets;
-  for (std::int32_t i = 0; i <= 4096; i += 64) offsets.push_back(i);
-
-  auto run = [&](bool simd_on) {
-    SimdGuard guard(simd_on);
-    Tape tape;
-    const NodeId x = tape.input(x0);
-    const NodeId p = segment_softmax(tape, x, offsets, 0.8f);
-    tape.backward(weighted_sum(tape, p));
-    return std::pair{std::vector<float>(tape.value(p).begin(), tape.value(p).end()),
-                     std::vector<double>(tape.grad(x).begin(), tape.grad(x).end())};
-  };
-  const auto scalar = run(false);
-  const auto vec = run(true);
-  // The vector exp polynomial differs from libm by a few ulp; the contract
-  // is tolerance, not bitwise equality (DESIGN.md §5.4).
-  for (std::size_t i = 0; i < scalar.first.size(); ++i) {
-    EXPECT_NEAR(vec.first[i], scalar.first[i], 1e-6f + 1e-5f * std::abs(scalar.first[i]))
-        << i;
-  }
-  for (std::size_t i = 0; i < scalar.second.size(); ++i) {
-    EXPECT_NEAR(vec.second[i], scalar.second[i],
-                1e-7 + 1e-5 * std::abs(scalar.second[i]))
-        << i;
-  }
-}
-
-TEST(Simd, FusedOverflowMatchesScalarWithinTolerance) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  util::Rng rng(654);
-  const std::vector<float> x0 = random_vec(rng, 2048, 1.5f);
-  std::vector<float> cap(2048);
-  for (float& c : cap) c = std::abs(static_cast<float>(rng.normal()));
-
-  for (const Activation act : {Activation::kReLU, Activation::kSigmoid,
-                               Activation::kLeakyReLU, Activation::kExp,
-                               Activation::kCELU}) {
-    auto run = [&](bool simd_on) {
-      SimdGuard guard(simd_on);
-      Tape tape;
-      const NodeId x = tape.input(x0);
-      const NodeId y = fused_overflow_cost(tape, x, cap, act, 1.0f);
-      tape.backward(y);
-      return std::pair{tape.value(y)[0],
-                       std::vector<double>(tape.grad(x).begin(), tape.grad(x).end())};
-    };
-    const auto scalar = run(false);
-    const auto vec = run(true);
-    EXPECT_NEAR(vec.first, scalar.first,
-                1e-5f + 1e-5f * std::abs(scalar.first))
-        << activation_name(act);
-    for (std::size_t i = 0; i < scalar.second.size(); ++i) {
-      EXPECT_NEAR(vec.second[i], scalar.second[i],
-                  1e-7 + 1e-5 * std::abs(scalar.second[i]))
-          << activation_name(act) << " " << i;
-    }
-  }
-}
-
-TEST(Simd, GradCheckPassesWithSimdEnabled) {
-  if (!simd::compiled_in()) GTEST_SKIP() << "built without DGR_SIMD";
-  SimdGuard guard(true);
-  util::Rng rng(111);
-  const std::vector<float> x0 = random_vec(rng, 96);
-  const std::vector<std::int32_t> offsets{0, 24, 48, 96};
-  auto f = [&](const std::vector<float>& x) {
-    SimdGuard inner(true);
-    Tape tape;
-    const NodeId xs = tape.input(x);
-    const NodeId p = segment_softmax(tape, xs, offsets, 1.0f);
-    return static_cast<double>(tape.value(weighted_sum(tape, p))[0]);
-  };
-  Tape tape;
-  const NodeId x = tape.input(x0);
-  tape.backward(weighted_sum(tape, segment_softmax(tape, x, offsets, 1.0f)));
-  const auto r = grad_check(f, x0, tape.grad(x), 1e-3, 2e-4, 1e-2);
-  EXPECT_TRUE(r.ok) << "max_abs_err=" << r.max_abs_err
-                    << " max_rel_err=" << r.max_rel_err;
 }
 
 }  // namespace

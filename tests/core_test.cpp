@@ -4,8 +4,6 @@
 #include <memory>
 
 #include "ad/gradcheck.hpp"
-#include "ad/simd.hpp"
-#include "core/batch.hpp"
 #include "core/solver.hpp"
 #include "obs/metrics.hpp"
 #include "design/generator.hpp"
@@ -58,17 +56,62 @@ DgrConfig fast_config() {
   return config;
 }
 
-/// Pins the runtime SIMD toggle for tests whose expectations are functions
-/// of exact scalar arithmetic (trajectory identity on a knife-edge fixture,
-/// finite differences at libm precision). No-op in non-SIMD builds.
-class ScalarModeGuard {
- public:
-  ScalarModeGuard() : prev_(ad::simd::enabled()) { ad::simd::set_enabled(false); }
-  ~ScalarModeGuard() { ad::simd::set_enabled(prev_); }
-
- private:
-  bool prev_;
+/// The solver's Fig. 4 objective at `params` and temperature `t` (no noise),
+/// recorded on a fresh tape: value, per-term breakdown and gradient.
+struct Objective {
+  CostBreakdown breakdown;
+  std::vector<double> grads;  ///< [path | tree]
 };
+
+/// `fused` replays DgrSolver's own graph (the fused kernels, same op order),
+/// so it must match the solver's reused tape bit for bit. Otherwise the graph
+/// is built one op per primitive from the public ad ops — the reference
+/// oracle the fused kernels are checked against.
+Objective record_objective(const dag::DagForest& forest, const DgrSolver& solver,
+                           const std::vector<float>& params, float t, bool fused) {
+  const DgrConfig& config = solver.config();
+  const Relaxation& r = solver.relaxation();
+  const std::size_t np = solver.path_logit_count();
+  const std::size_t nt = solver.tree_logit_count();
+  const float via_scale =
+      std::sqrt(static_cast<float>(forest.design().grid().layer_count()));
+  ad::Tape tape;
+  const ad::NodeId pl = tape.input(params.data(), np);
+  const ad::NodeId tl = tape.input(params.data() + np, nt);
+  ad::NodeId eff, overflow;
+  if (fused) {
+    const ad::FusedSelectionDemand sel =
+        ad::fused_softmax_demand(tape, pl, tl, r.path_group_offsets, r.tree_group_offsets,
+                                 r.path_tree, r.tree_path_offsets, r.incidence, t);
+    eff = sel.eff;
+    overflow = ad::fused_overflow_cost(tape, sel.demand, solver.capacities(),
+                                       config.activation, config.activation_alpha);
+  } else {
+    const ad::NodeId p = ad::segment_softmax(tape, pl, r.path_group_offsets, t);
+    const ad::NodeId q = ad::segment_softmax(tape, tl, r.tree_group_offsets, t);
+    eff = ad::gather_mul(tape, q, r.path_tree, p);
+    const ad::NodeId slack =
+        ad::sub_const(tape, ad::spmv(tape, eff, r.incidence), solver.capacities());
+    overflow = ad::weighted_sum(
+        tape, ad::apply_activation(tape, slack, config.activation, config.activation_alpha));
+  }
+  const ad::NodeId wl = ad::weighted_sum(tape, eff, r.wirelength);
+  const ad::NodeId via = ad::weighted_sum(tape, eff, r.turns);
+  const ad::NodeId total =
+      ad::combine(tape, {overflow, via, wl},
+                  {config.weight_overflow, config.weight_via * via_scale,
+                   config.weight_wirelength});
+  tape.backward(total);
+
+  Objective out;
+  out.breakdown.total = tape.value(total)[0];
+  out.breakdown.overflow = tape.value(overflow)[0];
+  out.breakdown.wirelength = tape.value(wl)[0];
+  out.breakdown.via = static_cast<double>(via_scale) * tape.value(via)[0];
+  out.grads.assign(tape.grad(pl).begin(), tape.grad(pl).end());
+  out.grads.insert(out.grads.end(), tape.grad(tl).begin(), tape.grad(tl).end());
+  return out;
+}
 
 TEST(Relaxation, StructuresMatchForest) {
   auto fx = ConflictFixture::make();
@@ -148,9 +191,7 @@ TEST(DgrSolver, TrainingReducesCost) {
 
 TEST(DgrSolver, ResolvesTheTwoNetConflict) {
   // The symmetric fixture is a knife-edge instance (about half of all seeds
-  // resolve it); this test pins the scalar exp so the expectation stays a
-  // deterministic function of the seed across the DGR_SIMD preset matrix.
-  ScalarModeGuard scalar;
+  // resolve it); the expectation is a deterministic function of the seed.
   auto fx = ConflictFixture::make();
   DgrConfig config = fast_config();
   config.iterations = 400;
@@ -209,10 +250,6 @@ TEST(DgrSolver, GumbelOffIsPlainSoftmaxDescent) {
 
 TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
   // End-to-end gradcheck of the real forward pass on the conflict fixture.
-  // Scalar mode: central differences at h=1e-3 cannot resolve the vector
-  // exp's ~2e-7 relative noise on a ~1e4 objective; the SIMD kernels carry
-  // their own tolerance gradchecks in ad_test (Simd.*).
-  ScalarModeGuard scalar;
   auto fx = ConflictFixture::make();
   DgrConfig config;
   config.use_gumbel = false;
@@ -224,33 +261,9 @@ TEST(DgrSolver, AnalyticGradientMatchesFiniteDifferences) {
     return solver.evaluate(1.0f).total;
   };
   std::vector<float> params = solver.logits();
-
-  // Analytic gradient via one no-noise backward pass.
-  ad::Tape tape;
-  const std::size_t np = solver.path_logit_count();
-  const std::size_t nt = solver.tree_logit_count();
-  const ad::NodeId pl = tape.input(params.data(), np);
-  const ad::NodeId tl = tape.input(params.data() + np, nt);
-  const Relaxation& r = solver.relaxation();
-  const ad::NodeId p = ad::segment_softmax(tape, pl, r.path_group_offsets, 1.0f);
-  const ad::NodeId q = ad::segment_softmax(tape, tl, r.tree_group_offsets, 1.0f);
-  const ad::NodeId eff = ad::gather_mul(tape, q, r.path_tree, p);
-  const ad::NodeId d = ad::spmv(tape, eff, r.incidence);
-  const ad::NodeId slack = ad::sub_const(tape, d, solver.capacities());
-  const ad::NodeId over =
-      ad::apply_activation(tape, slack, config.activation, config.activation_alpha);
-  const ad::NodeId total = ad::combine(
-      tape,
-      {ad::weighted_sum(tape, over), ad::weighted_sum(tape, eff, r.turns),
-       ad::weighted_sum(tape, eff, r.wirelength)},
-      {config.weight_overflow,
-       config.weight_via * std::sqrt(static_cast<float>(fx.design().grid().layer_count())),
-       config.weight_wirelength});
-  tape.backward(total);
-  std::vector<double> grad(np + nt);
-  std::copy(tape.grad(pl).begin(), tape.grad(pl).end(), grad.begin());
-  std::copy(tape.grad(tl).begin(), tape.grad(tl).end(),
-            grad.begin() + static_cast<std::ptrdiff_t>(np));
+  // Analytic gradient via one backward pass of the reference graph.
+  const std::vector<double> grad =
+      record_objective(fx.forest(), solver, params, 1.0f, /*fused=*/false).grads;
 
   const auto result = ad::grad_check(with_params, params, grad, 1e-3, 5e-3, 2e-2);
   EXPECT_TRUE(result.ok) << "max_abs=" << result.max_abs_err;
@@ -397,27 +410,53 @@ TEST(DgrSolver, BitwiseDeterministicAcrossWorkerCounts) {
   util::set_worker_count(0);
 }
 
-TEST(DgrSolver, FusedAndUnfusedForwardAgree) {
-  // The fused kernels must compute the same objective as the reference graph
-  // (only the overflow reduction order differs: block partials vs serial).
+TEST(DgrSolver, MatchesReferenceGraphValueAndGradient) {
+  // Value-and-gradient oracle: the solver's fused graph must compute the same
+  // objective and gradient as the one-op-per-primitive reference graph, step
+  // by step along a real (noise-free) training trajectory. Only reduction
+  // orders differ (block partials vs serial sums), hence a tolerance.
+  design::IspdLikeParams p;
+  p.num_nets = 80;
+  p.grid_w = p.grid_h = 16;
+  const design::Design d = design::generate_ispd_like(p, 11);
+  const dag::DagForest forest = dag::DagForest::build(d, {});
   auto fx = ConflictFixture::make();
-  DgrConfig fused = fast_config();
-  fused.fused_kernels = true;
-  DgrConfig unfused = fused;
-  unfused.fused_kernels = false;
-  DgrSolver a(fx.forest(), fx.cap, fused);
-  DgrSolver b(fx.forest(), fx.cap, unfused);
-  const CostBreakdown ca = a.evaluate(1.0f);
-  const CostBreakdown cb = b.evaluate(1.0f);
-  EXPECT_NEAR(ca.total, cb.total, 1e-5 + 1e-6 * std::abs(cb.total));
-  EXPECT_NEAR(ca.overflow, cb.overflow, 1e-5 + 1e-6 * std::abs(cb.overflow));
-  EXPECT_NEAR(ca.wirelength, cb.wirelength, 1e-5);
-  EXPECT_NEAR(ca.via, cb.via, 1e-5);
-  // And both modes train to the same qualitative solution.
-  a.train();
-  b.train();
-  EXPECT_TRUE(a.extract().connects_all_pins());
-  EXPECT_TRUE(b.extract().connects_all_pins());
+  struct Case {
+    const dag::DagForest* forest;
+    std::vector<float> cap;
+  };
+  const Case cases[] = {{&fx.forest(), fx.cap}, {&forest, d.capacities()}};
+
+  auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-5 + 1e-5 * std::abs(want);
+  };
+  for (const Case& c : cases) {
+    DgrConfig config = fast_config();
+    config.use_gumbel = false;
+    DgrSolver solver(*c.forest, c.cap, config);
+    for (int it = 0; it < 120; it += 7) {
+      const float t = solver.temperature_at(it);
+      const std::vector<float> params = solver.logits();
+      const Objective ref = record_objective(*c.forest, solver, params, t, /*fused=*/false);
+      const CostBreakdown eval = solver.evaluate(t);
+      solver.train_step(it);
+      const CostBreakdown& got = solver.last_breakdown();
+      for (const CostBreakdown* b : {&eval, &got}) {
+        EXPECT_PRED2(near, b->total, ref.breakdown.total) << "iter " << it;
+        EXPECT_PRED2(near, b->overflow, ref.breakdown.overflow) << "iter " << it;
+        EXPECT_PRED2(near, b->wirelength, ref.breakdown.wirelength) << "iter " << it;
+        EXPECT_PRED2(near, b->via, ref.breakdown.via) << "iter " << it;
+      }
+      const std::vector<double>& grads = solver.last_grads();
+      ASSERT_EQ(grads.size(), ref.grads.size());
+      double scale = 0.0;
+      for (const double g : ref.grads) scale = std::max(scale, std::abs(g));
+      for (std::size_t k = 0; k < grads.size(); ++k) {
+        EXPECT_NEAR(grads[k], ref.grads[k], 1e-9 + 1e-6 * scale)
+            << "iter " << it << " param " << k;
+      }
+    }
+  }
 }
 
 TEST(DgrSolver, AdaptiveForestTrainsAndExtracts) {
@@ -440,32 +479,31 @@ TEST(DgrSolver, AdaptiveForestTrainsAndExtracts) {
 }
 
 TEST(DgrSolver, ReusedTapeMatchesFreshTapeAcrossWorkerCounts) {
-  // The arena-reuse contract: resetting and re-recording into the same tape
-  // must reproduce a fresh-tape-per-iteration solve bit for bit, at every
-  // worker count. This is what licenses reuse_tape as the default.
+  // The arena-reuse contract: resetting and re-recording into the solver's
+  // one tape must reproduce a fresh tape per step bit for bit, at every
+  // worker count. The fresh tapes replay the solver's graph from the
+  // parameters it held before each step (noise off, so the graph is a pure
+  // function of parameters and temperature).
   design::IspdLikeParams p;
   p.num_nets = 60;
   p.grid_w = p.grid_h = 14;
   const design::Design d = design::generate_ispd_like(p, 7);
-  const auto cap = d.capacities();
   const dag::DagForest forest = dag::DagForest::build(d, {});
-  DgrConfig reused = fast_config();
-  reused.iterations = 30;
-  reused.reuse_tape = true;
-  DgrConfig fresh = reused;
-  fresh.reuse_tape = false;
+  DgrConfig config = fast_config();
+  config.use_gumbel = false;
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const TrainOutcome a = train_at_workers(forest, cap, reused, workers);
-    const TrainOutcome b = train_at_workers(forest, cap, fresh, workers);
-    ASSERT_EQ(a.cost_history.size(), b.cost_history.size()) << workers;
-    for (std::size_t i = 0; i < a.cost_history.size(); ++i) {
-      EXPECT_EQ(a.cost_history[i], b.cost_history[i])
-          << "workers=" << workers << " iter=" << i;
-    }
-    ASSERT_EQ(a.logits.size(), b.logits.size()) << workers;
-    for (std::size_t i = 0; i < a.logits.size(); ++i) {
-      EXPECT_EQ(a.logits[i], b.logits[i]) << "workers=" << workers << " logit=" << i;
+    util::set_worker_count(workers);
+    DgrSolver solver(forest, d.capacities(), config);
+    for (int it = 0; it < 30; ++it) {
+      const std::vector<float> params = solver.logits();
+      const Objective fresh =
+          record_objective(forest, solver, params, solver.temperature_at(it), /*fused=*/true);
+      EXPECT_EQ(solver.train_step(it), fresh.breakdown.total)
+          << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(solver.last_breakdown().overflow, fresh.breakdown.overflow)
+          << "workers=" << workers << " iter=" << it;
+      EXPECT_EQ(solver.last_grads(), fresh.grads) << "workers=" << workers << " iter=" << it;
     }
   }
   util::set_worker_count(0);
@@ -487,108 +525,6 @@ TEST(DgrSolver, ArenaRegrowthIsZeroAfterWarmup) {
   regrowth.reset();  // warm-up over: from here on, any regrowth is a bug
   for (int i = 2; i < 50; ++i) solver.train_step(i);
   EXPECT_EQ(regrowth.value(), 0);
-}
-
-TEST(BatchedDgrSolver, MatchesSoloSolversBitwise) {
-  // One shared tape, N designs, one backward_multi, one Adam step over the
-  // concatenated parameters — and every per-design trajectory must still be
-  // bitwise-identical to a solo DgrSolver with that design's seed.
-  design::IspdLikeParams p1;
-  p1.num_nets = 40;
-  p1.grid_w = p1.grid_h = 12;
-  const design::Design d1 = design::generate_ispd_like(p1, 21);
-  design::IspdLikeParams p2;
-  p2.num_nets = 25;
-  p2.grid_w = p2.grid_h = 10;
-  const design::Design d2 = design::generate_ispd_like(p2, 22);
-  const dag::DagForest f1 = dag::DagForest::build(d1, {});
-  const dag::DagForest f2 = dag::DagForest::build(d2, {});
-
-  DgrConfig config = fast_config();
-  config.iterations = 25;
-
-  BatchedDgrSolver batch(config);
-  ASSERT_EQ(batch.add_design(f1, d1.capacities(), 101), 0u);
-  ASSERT_EQ(batch.add_design(f2, d2.capacities(), 202), 1u);
-  batch.train();
-
-  const dag::DagForest* forests[] = {&f1, &f2};
-  const design::Design* designs[] = {&d1, &d2};
-  const std::uint64_t seeds[] = {101, 202};
-  for (std::size_t i = 0; i < 2; ++i) {
-    DgrConfig solo_config = config;
-    solo_config.seed = seeds[i];
-    DgrSolver solo(*forests[i], designs[i]->capacities(), solo_config);
-    for (int it = 0; it < config.iterations; ++it) solo.train_step(it);
-
-    const std::span<const float> bp = batch.params(i);
-    const std::vector<float>& sp = solo.logits();
-    ASSERT_EQ(bp.size(), sp.size()) << "design " << i;
-    for (std::size_t k = 0; k < sp.size(); ++k) {
-      EXPECT_EQ(bp[k], sp[k]) << "design " << i << " param " << k;
-    }
-    // Final-step gradients must agree too (the grads feed warm-start reuse).
-    EXPECT_EQ(batch.last_breakdown(i).total, solo.last_breakdown().total)
-        << "design " << i;
-    // And the discrete solutions they induce.
-    const eval::RouteSolution bs = batch.extract(i);
-    const eval::RouteSolution ss = solo.extract();
-    ASSERT_EQ(bs.nets.size(), ss.nets.size()) << "design " << i;
-    for (std::size_t n = 0; n < ss.nets.size(); ++n) {
-      ASSERT_EQ(bs.nets[n].paths.size(), ss.nets[n].paths.size())
-          << "design " << i << " net " << n;
-      for (std::size_t k = 0; k < ss.nets[n].paths.size(); ++k) {
-        EXPECT_EQ(bs.nets[n].paths[k].waypoints, ss.nets[n].paths[k].waypoints)
-            << "design " << i << " net " << n << " path " << k;
-      }
-    }
-  }
-}
-
-TEST(BatchedDgrSolver, GradientsMatchPerDesignSoloTapes) {
-  // Single-step variant pinning the backward_multi contract directly: the
-  // gradient slab each design reads out of the shared grad arena equals the
-  // gradient a dedicated solo tape computes for it.
-  auto fx = ConflictFixture::make();
-  DgrConfig config = fast_config();
-  config.iterations = 1;
-
-  BatchedDgrSolver batch(config);
-  batch.add_design(fx.forest(), fx.cap, config.seed);
-  batch.add_design(fx.forest(), fx.cap, 77);
-  batch.train_step(0);
-
-  const std::uint64_t seeds[] = {config.seed, 77};
-  for (std::size_t i = 0; i < 2; ++i) {
-    DgrConfig solo_config = config;
-    solo_config.seed = seeds[i];
-    DgrSolver solo(fx.forest(), fx.cap, solo_config);
-    solo.train_step(0);
-    // Solo applied its Adam update; re-derive its step-0 gradient from the
-    // batched slab sizes instead: compare post-step parameters, which are a
-    // pure function of (init, grad) under elementwise Adam.
-    const std::span<const float> bp = batch.params(i);
-    const std::vector<float>& sp = solo.logits();
-    ASSERT_EQ(bp.size(), sp.size());
-    for (std::size_t k = 0; k < sp.size(); ++k) {
-      EXPECT_EQ(bp[k], sp[k]) << "design " << i << " param " << k;
-    }
-    const std::span<const double> bg = batch.last_grads(i);
-    ASSERT_EQ(bg.size(), sp.size());
-    for (std::size_t k = 0; k < bg.size(); ++k) {
-      EXPECT_TRUE(std::isfinite(bg[k])) << "design " << i << " grad " << k;
-    }
-  }
-}
-
-TEST(BatchedDgrSolver, RejectsLateAddAndBadIndices) {
-  auto fx = ConflictFixture::make();
-  DgrConfig config = fast_config();
-  BatchedDgrSolver batch(config);
-  batch.add_design(fx.forest(), fx.cap, 1);
-  batch.train_step(0);
-  EXPECT_THROW(batch.add_design(fx.forest(), fx.cap, 2), std::logic_error);
-  EXPECT_THROW(batch.params(5), std::out_of_range);
 }
 
 }  // namespace

@@ -323,6 +323,60 @@ TEST(FusedStages, DeterministicBlockReduction) {
   EXPECT_EQ(t1, run(0));
 }
 
+TEST(FusedStages, ConcurrentAndNestedSubmissionsMatchSerial) {
+  // The pool runs one job at a time: a second submitting thread, or a stage
+  // function that submits a nested job, finds it busy and runs inline. Both
+  // must complete with the bits of a lone submitter. A hang here is a
+  // failure through the test's ctest TIMEOUT.
+  set_worker_count(4);
+  const std::size_t n = 20000;
+  const std::size_t block = 256;
+  const std::size_t blocks = (n + block - 1) / block;
+  auto job = [&](int seed) {
+    std::vector<double> x(n), partials(blocks, 0.0);
+    ParallelRuntime::fused(
+        stage_blocked(0, n, 512,
+                      [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t i = lo; i < hi; ++i) {
+                          x[i] = std::sin(static_cast<double>(i) + seed) * 1e-3;
+                        }
+                      }),
+        stage_blocked(0, blocks, 1, [&](std::size_t blo, std::size_t bhi) {
+          for (std::size_t b = blo; b < bhi; ++b) {
+            double acc = 0.0;
+            const std::size_t hi = std::min(n, (b + 1) * block);
+            for (std::size_t i = b * block; i < hi; ++i) acc += x[i];
+            partials[b] = acc;
+          }
+        }));
+    double total = 0.0;
+    for (const double p : partials) total += p;
+    return total;
+  };
+  constexpr int kJobs = 200;
+  std::vector<double> serial(kJobs);
+  for (int j = 0; j < kJobs; ++j) serial[j] = job(j);
+
+  std::vector<double> got[2] = {std::vector<double>(kJobs), std::vector<double>(kJobs)};
+  {
+    std::thread a([&] { for (int j = 0; j < kJobs; ++j) got[0][j] = job(j); });
+    std::thread b([&] { for (int j = 0; j < kJobs; ++j) got[1][j] = job(j); });
+    a.join();
+    b.join();
+  }
+  for (int j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(got[0][j], serial[j]) << "thread 0 job " << j;
+    EXPECT_EQ(got[1][j], serial[j]) << "thread 1 job " << j;
+  }
+
+  std::vector<double> nested(8);
+  ParallelRuntime::for_each(
+      0, nested.size(), [&](std::size_t r) { nested[r] = job(static_cast<int>(r)); },
+      /*grain=*/1);
+  for (std::size_t r = 0; r < nested.size(); ++r) EXPECT_EQ(nested[r], serial[r]) << r;
+  set_worker_count(0);
+}
+
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
